@@ -9,13 +9,16 @@
 # and the live-ingest chaos suite: flaky upload swarms, kill-and-resume
 # over the ingest journal, budget eviction, and drain) plus a fuzz
 # smoke pass over the salvage decoders and the streaming ingest
-# endpoint. `make profile` runs the
+# endpoint and the shard-state decoder. `make bench` runs one
+# workload of the end-to-end benchmark (lagbench/README.md; pick
+# another with BENCH_ARGS). `make profile` runs the
 # engine benchmark under the CPU and heap profilers and prints the
 # top-10 hot spots from each.
 
 GO ?= go
 PROFILE_DIR ?= profiles
 FUZZTIME ?= 30s
+BENCH_ARGS ?= --workload study-cold --seed 1 --seconds 5 --trace 0
 
 .PHONY: build test check race chaos vet bench profile
 
@@ -51,12 +54,13 @@ chaos:
 	$(GO) test ./internal/lila -run '^$$' -fuzz FuzzSalvageBinaryV2 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lila -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzIngestStream -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeShardState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 vet:
 	$(GO) vet ./...
 
 bench:
-	./scripts/bench.sh
+	bash lagbench/run.sh $(BENCH_ARGS)
 
 profile:
 	mkdir -p $(PROFILE_DIR)

@@ -16,8 +16,10 @@
 //
 // Layout under the store directory (lagreport uses <out>/.checkpoint):
 //
-//	manifest.json      config hash, git SHA, app name → entry digest
-//	apps/<digest>.gob  gob-encoded session suites, named by content
+//	manifest.json       version, config hash, git SHA, app name → digest
+//	apps/<digest>.lila  one session suite in the suite codec
+//	                    (treebuild.EncodeSuite: LiLa v2.1 sessions),
+//	                    named by content
 //
 // Consistency protocol: an app's payload file is written (and synced)
 // before the manifest references it, and both writes are atomic
@@ -25,13 +27,14 @@
 // garbage, collected on the next Open — never a dangling reference.
 // Loads verify the payload's SHA-256 against the manifest digest; any
 // mismatch (bit rot, partial copy) is treated as a miss, and the app
-// is simply re-run.
+// is simply re-run. A manifest of another version (an older payload
+// encoding) is discarded with its payloads, so an upgraded binary
+// starts from an empty store rather than reading a format it no longer
+// speaks.
 package checkpoint
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -44,6 +47,7 @@ import (
 
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // Checkpoint metrics: hits are the re-runs avoided on resume; errors
@@ -59,8 +63,11 @@ var (
 )
 
 // manifestVersion is bumped whenever the payload encoding changes; a
-// version mismatch invalidates the whole store.
-const manifestVersion = 1
+// version mismatch invalidates the whole store. Version 1 payloads were
+// gob; version 2 payloads are the suite codec.
+const manifestVersion = 2
+
+const payloadExt = ".lila"
 
 // Entry references one checkpointed app in the manifest.
 type Entry struct {
@@ -164,24 +171,18 @@ func (s *Store) Apps() []string {
 	return names
 }
 
-// payload is the gob wire form of one checkpointed app.
-type payload struct {
-	App      string
-	Sessions []*trace.Session
-}
-
 // Save persists one completed app's session suite: payload first
 // (atomic, synced), manifest second (atomic), so a crash between the
 // two never leaves a reference to a missing or partial file.
 func (s *Store) Save(suite *trace.Suite) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload{App: suite.App, Sessions: suite.Sessions}); err != nil {
+	data, err := treebuild.EncodeSuite(nil, suite)
+	if err != nil {
 		mErrors.Inc()
 		return fmt.Errorf("checkpoint: encoding %s: %w", suite.App, err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(data)
 	digest := hex.EncodeToString(sum[:])
-	if err := obs.WriteFileAtomic(s.payloadPath(digest), buf.Bytes(), 0o644); err != nil {
+	if err := obs.WriteFileAtomic(s.payloadPath(digest), data, 0o644); err != nil {
 		mErrors.Inc()
 		return fmt.Errorf("checkpoint: writing %s: %w", suite.App, err)
 	}
@@ -227,23 +228,19 @@ func (s *Store) Load(app string) (*trace.Suite, bool) {
 		mErrors.Inc()
 		return nil, false
 	}
-	var p payload
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		mErrors.Inc()
-		return nil, false
-	}
-	if p.App != app {
+	suite, rest, err := treebuild.DecodeSuite(data)
+	if err != nil || len(rest) != 0 || suite.App != app {
 		mErrors.Inc()
 		return nil, false
 	}
 	mHits.Inc()
-	return &trace.Suite{App: p.App, Sessions: p.Sessions}, true
+	return suite, true
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
 func (s *Store) payloadPath(digest string) string {
-	return filepath.Join(s.dir, "apps", digest+".gob")
+	return filepath.Join(s.dir, "apps", digest+payloadExt)
 }
 
 // writeManifest serializes the manifest atomically. Callers hold s.mu
@@ -265,7 +262,7 @@ func (s *Store) writeManifest() error {
 func (s *Store) collectGarbage() {
 	referenced := map[string]bool{}
 	for _, e := range s.manifest.Apps {
-		referenced[e.Digest+".gob"] = true
+		referenced[e.Digest+payloadExt] = true
 	}
 	entries, err := os.ReadDir(filepath.Join(s.dir, "apps"))
 	if err != nil {

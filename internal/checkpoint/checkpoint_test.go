@@ -172,7 +172,7 @@ func TestOrphanPayloadGarbageCollected(t *testing.T) {
 	_ = st
 	// A crash between the payload write and the manifest update leaves
 	// an unreferenced payload; the next Open collects it.
-	orphan := filepath.Join(dir, "apps", "deadbeef.gob")
+	orphan := filepath.Join(dir, "apps", "deadbeef.lila")
 	if err := os.WriteFile(orphan, []byte("orphan"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"lagalyzer/internal/lila"
 	"lagalyzer/internal/serve"
 )
 
@@ -363,9 +364,21 @@ func (c *Coordinator) fetchState(ctx context.Context, w *worker, id string) (*se
 		return nil, fmt.Errorf("dist: fetching state of %s from %s: %s: %s",
 			id, w.url, resp.Status, readError(resp.Body))
 	}
-	data, err := io.ReadAll(resp.Body)
+	// A peer's body is untrusted: bound it by the same cap as a trace
+	// file before buffering it. An oversize state is treated as damage,
+	// so it is retried and falls back like any other bad state.
+	limit := lila.DefaultLimits().MaxTraceBytes
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("dist: state of %s from %s: %w: declared %d bytes, cap %d",
+			id, w.url, serve.ErrBadShardState, resp.ContentLength, limit)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, fmt.Errorf("dist: reading state of %s from %s: %w", id, w.url, err)
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("dist: state of %s from %s: %w: body exceeds the %d-byte cap",
+			id, w.url, serve.ErrBadShardState, limit)
 	}
 	st, err := serve.DecodeShardState(data)
 	if err != nil {

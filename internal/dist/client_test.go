@@ -1,10 +1,17 @@
 package dist
 
 import (
+	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"lagalyzer/internal/lila"
+	"lagalyzer/internal/serve"
 )
 
 func TestBackoffDeterministicJitter(t *testing.T) {
@@ -137,3 +144,35 @@ func TestPoolDrainingEjectsImmediately(t *testing.T) {
 }
 
 var errTest = http.ErrHandlerTimeout
+
+// roundTripFunc is an http.RoundTripper backed by a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestFetchStateRejectsOversizeBody: a peer declaring a state body
+// beyond lila.Limits.MaxTraceBytes is refused before anything is
+// buffered, as shard-state damage (so it is retried like any other).
+func TestFetchStateRejectsOversizeBody(t *testing.T) {
+	limit := lila.DefaultLimits().MaxTraceBytes
+	transport := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode:    http.StatusOK,
+			Header:        http.Header{},
+			ContentLength: limit + 1,
+			Body:          io.NopCloser(strings.NewReader("LAGSHRD2")),
+			Request:       r,
+		}, nil
+	})
+	c, err := New(Options{Workers: []string{"http://peer"}, HTTPClient: &http.Client{Transport: transport}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.fetchState(context.Background(), &worker{url: "http://peer"}, "job-1")
+	if !errors.Is(err, serve.ErrBadShardState) {
+		t.Fatalf("err = %v, want ErrBadShardState", err)
+	}
+	if !strings.Contains(err.Error(), "declared") {
+		t.Errorf("err = %v, want the declared length named", err)
+	}
+}

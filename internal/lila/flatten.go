@@ -1,9 +1,10 @@
 package lila
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"lagalyzer/internal/trace"
 )
@@ -19,27 +20,55 @@ import (
 // them and emits the global brackets from Session.GCs instead, so the
 // round trip through treebuild reconstructs the copies.
 func Flatten(s *trace.Session) []*Record {
-	var recs []*Record
-	for _, t := range s.Threads {
-		recs = append(recs, &Record{Type: RecThread, Thread: t.ID, Name: t.Name, Daemon: t.Daemon})
+	recs := flatten(s)
+	out := make([]*Record, len(recs))
+	for i := range recs {
+		out[i] = &recs[i]
 	}
+	return out
+}
+
+// flatten is Flatten into one slab of record values.
+func flatten(s *trace.Session) []Record {
+	n := len(s.Threads) + 2*len(s.GCs) + 1
+	for _, e := range s.Episodes {
+		e.Root.Walk(func(iv *trace.Interval, _ int) bool {
+			if iv.Kind == trace.KindGC {
+				return false
+			}
+			n += 2
+			return true
+		})
+	}
+	for _, tick := range s.Ticks {
+		n += len(tick.Threads)
+	}
+
+	// recs holds the records in discovery order: thread declarations
+	// first, then the events to be ordered.
+	recs := make([]Record, 0, n)
+	for _, t := range s.Threads {
+		recs = append(recs, Record{Type: RecThread, Thread: t.ID, Name: t.Name, Daemon: t.Daemon})
+	}
+	threads := len(recs)
 
 	// Ordered stream events: collect, then sort with tie-breaking
 	// rules that preserve proper nesting at equal time stamps:
 	// returns close before anything opens (deepest first), samples in
 	// between, calls open after (shallowest first), and GC brackets
-	// sit innermost (end first, start last).
+	// sit innermost (end first, start last). Discovery order breaks
+	// the remaining ties, so the order is total and the sort need not
+	// be stable. Events are pointer-free; idx locates the record.
 	type event struct {
-		rec   *Record
-		prio  int // see ordering above
-		depth int
-		seq   int
+		time  trace.Time
+		prio  int32
+		depth int32
+		idx   int32
 	}
-	var events []event
-	seq := 0
-	add := func(rec *Record, prio, depth int) {
-		events = append(events, event{rec, prio, depth, seq})
-		seq++
+	events := make([]event, 0, n-threads)
+	add := func(rec Record, prio, depth int) {
+		events = append(events, event{rec.Time, int32(prio), int32(depth), int32(len(recs))})
+		recs = append(recs, rec)
 	}
 
 	const (
@@ -51,53 +80,48 @@ func Flatten(s *trace.Session) []*Record {
 	)
 
 	for _, e := range s.Episodes {
-		e.Root.Walk(func(n *trace.Interval, depth int) bool {
-			if n.Kind == trace.KindGC {
+		e.Root.Walk(func(iv *trace.Interval, depth int) bool {
+			if iv.Kind == trace.KindGC {
 				return false // global brackets come from s.GCs
 			}
-			add(&Record{Type: RecCall, Time: n.Start, Thread: e.Thread, Kind: n.Kind, Class: n.Class, Method: n.Method}, prioCall, depth)
-			add(&Record{Type: RecReturn, Time: n.End, Thread: e.Thread}, prioReturn, depth)
+			add(Record{Type: RecCall, Time: iv.Start, Thread: e.Thread, Kind: iv.Kind, Class: iv.Class, Method: iv.Method}, prioCall, depth)
+			add(Record{Type: RecReturn, Time: iv.End, Thread: e.Thread}, prioReturn, depth)
 			return true
 		})
 	}
 	for _, gc := range s.GCs {
-		add(&Record{Type: RecGCStart, Time: gc.Start, Major: gc.Major}, prioGCStart, 0)
-		add(&Record{Type: RecGCEnd, Time: gc.End}, prioGCEnd, 0)
+		add(Record{Type: RecGCStart, Time: gc.Start, Major: gc.Major}, prioGCStart, 0)
+		add(Record{Type: RecGCEnd, Time: gc.End}, prioGCEnd, 0)
 	}
 	for _, tick := range s.Ticks {
 		for _, th := range tick.Threads {
-			add(&Record{Type: RecSample, Time: tick.Time, Thread: th.Thread, State: th.State, Stack: th.Stack}, prioSample, 0)
+			add(Record{Type: RecSample, Time: tick.Time, Thread: th.Thread, State: th.State, Stack: th.Stack}, prioSample, 0)
 		}
 	}
 
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.rec.Time != b.rec.Time {
-			return a.rec.Time < b.rec.Time
+	slices.SortFunc(events, func(a, b event) int {
+		if a.time != b.time {
+			return cmp.Compare(a.time, b.time)
 		}
 		if a.prio != b.prio {
-			return a.prio < b.prio
+			return cmp.Compare(a.prio, b.prio)
 		}
-		switch a.prio {
-		case prioReturn:
-			// Deeper intervals close first.
-			if a.depth != b.depth {
-				return a.depth > b.depth
-			}
-		case prioCall:
-			// Shallower intervals open first.
-			if a.depth != b.depth {
-				return a.depth < b.depth
-			}
+		switch {
+		case a.depth == b.depth:
+		case a.prio == prioReturn:
+			return cmp.Compare(b.depth, a.depth) // deeper intervals close first
+		case a.prio == prioCall:
+			return cmp.Compare(a.depth, b.depth) // shallower intervals open first
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.idx, b.idx)
 	})
 
+	out := make([]Record, 0, len(recs)+1)
+	out = append(out, recs[:threads]...)
 	for _, ev := range events {
-		recs = append(recs, ev.rec)
+		out = append(out, recs[ev.idx])
 	}
-	recs = append(recs, &Record{Type: RecEnd, Time: s.End, Count: s.ShortCount})
-	return recs
+	return append(out, Record{Type: RecEnd, Time: s.End, Count: s.ShortCount})
 }
 
 // HeaderOf derives the trace header for a session.
@@ -196,8 +220,20 @@ func WriteSessionOptions(w io.Writer, o WriteOptions, s *trace.Session) error {
 	if err != nil {
 		return err
 	}
-	for _, rec := range Flatten(s) {
-		if err := lw.WriteRecord(rec); err != nil {
+	recs := flatten(s)
+	if vw, ok := lw.(*V2Writer); ok {
+		// The v2 writer buffers the whole stream until Close anyway:
+		// give it the flattened slab instead of a record-by-record copy.
+		for i := range recs {
+			if err := recs[i].Validate(); err != nil {
+				return err
+			}
+		}
+		vw.recs = recs
+		return vw.Close()
+	}
+	for i := range recs {
+		if err := lw.WriteRecord(&recs[i]); err != nil {
 			return err
 		}
 	}

@@ -92,6 +92,30 @@ func Figure2Episode(p *sim.Profile, seed uint64) (*trace.Session, *trace.Episode
 	return s, best, nil
 }
 
+// figure2App is the application whose deepest episode Figure 2
+// sketches.
+const figure2App = "GanttProject"
+
+// figure2Pick returns the episode Figure 2 sketches when a is
+// figure2App's result — the one with the largest descendants × depth,
+// the first in session order on ties — and its session; nil otherwise.
+func figure2Pick(a *AppResult) (*trace.Session, *trace.Episode) {
+	if a.Suite.App != figure2App {
+		return nil, nil
+	}
+	var bestS *trace.Session
+	var bestE *trace.Episode
+	bestScore := -1
+	for _, s := range a.Suite.Sessions {
+		for _, e := range s.Episodes {
+			if score := e.Root.Descendants() * e.Root.Depth(); score > bestScore {
+				bestS, bestE, bestScore = s, e, score
+			}
+		}
+	}
+	return bestS, bestE
+}
+
 // triggerRows converts per-app trigger shares into chart rows.
 func triggerRows(res *StudyResult, long bool) []viz.BarRow {
 	rows := make([]viz.BarRow, 0, len(res.Apps))
@@ -117,18 +141,8 @@ func Figures(res *StudyResult) map[string]string {
 
 	// Figure 2: the deepest episode the study's GanttProject sessions
 	// produced.
-	if gantt, ok := res.AppByName("GanttProject"); ok {
-		var bestS *trace.Session
-		var bestE *trace.Episode
-		bestScore := -1
-		for _, s := range gantt.Suite.Sessions {
-			for _, e := range s.Episodes {
-				if score := e.Root.Descendants() * e.Root.Depth(); score > bestScore {
-					bestS, bestE, bestScore = s, e, score
-				}
-			}
-		}
-		if bestE != nil {
+	if gantt, ok := res.AppByName(figure2App); ok {
+		if bestS, bestE := figure2Pick(gantt); bestE != nil {
 			out["figure2_ganttproject_sketch.svg"] = viz.Sketch(bestS, bestE, viz.SketchOptions{
 				Title: fmt.Sprintf("Figure 2 — GanttProject episode sketch: deep paint nesting (%d descendants, depth %d)",
 					bestE.Root.Descendants(), bestE.Root.Depth()),

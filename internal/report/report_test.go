@@ -501,3 +501,33 @@ func TestRunStudySequentialParallelIdentical(t *testing.T) {
 		}
 	}
 }
+
+func TestCompactRendersIdentically(t *testing.T) {
+	res := study(t)
+	c := res.Compact()
+	if got, want := FormatAll(c), FormatAll(res); got != want {
+		t.Error("FormatAll differs after Compact")
+	}
+	if got, want := FormatHTML(c), FormatHTML(res); got != want {
+		t.Error("FormatHTML differs after Compact")
+	}
+	if got, want := FormatExperimentsMarkdown(c), FormatExperimentsMarkdown(res); got != want {
+		t.Error("FormatExperimentsMarkdown differs after Compact")
+	}
+	if c.TotalEpisodes() != res.TotalEpisodes() || c.TotalEpisodes() == 0 {
+		t.Errorf("TotalEpisodes: compact %d, full %d", c.TotalEpisodes(), res.TotalEpisodes())
+	}
+	for i, a := range c.Apps {
+		want := 0
+		if a.Suite.App == figure2App {
+			want = 1
+		}
+		if a.Pooled != nil || len(a.Suite.Sessions) != want {
+			t.Errorf("%s: compact keeps Pooled=%v and %d sessions, want nil and %d",
+				a.Suite.App, a.Pooled != nil, len(a.Suite.Sessions), want)
+		}
+		if orig := res.Apps[i]; orig.Pooled == nil || len(orig.Suite.Sessions) != 1 {
+			t.Errorf("%s: Compact modified the original result", orig.Suite.App)
+		}
+	}
+}

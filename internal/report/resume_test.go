@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"lagalyzer/internal/apps"
+	"lagalyzer/internal/checkpoint"
 	"lagalyzer/internal/faultinject"
 	"lagalyzer/internal/obs"
 	"lagalyzer/internal/sim"
@@ -111,6 +113,57 @@ func TestCheckpointCorruptEntryReruns(t *testing.T) {
 	}
 	if a, b := FormatAll(first), FormatAll(second); a != b {
 		t.Error("report differs after re-running a corrupted checkpoint entry")
+	}
+}
+
+// TestCheckpointVersion1StoreReruns: a store left by a build that
+// wrote gob payloads (manifest version 1, apps/*.gob) reopens as all
+// misses, its payload is removed, and the re-run output is
+// byte-identical to a study without a checkpoint.
+func TestCheckpointVersion1StoreReruns(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	cfg := resumeTestConfig(dir)
+	if err := os.MkdirAll(filepath.Join(dir, "apps"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	gobPayload := filepath.Join(dir, "apps", "0123abcd.gob")
+	if err := os.WriteFile(gobPayload, []byte("gob-encoded suite"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"version": 1, "config_hash": "` + cfg.Hash() +
+		`", "apps": {"CrosswordSage": {"digest": "0123abcd", "sessions": 2}}}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	hits := obs.NewCounter("checkpoint_hits_total", "")
+	before := hits.Value()
+	got, err := RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := hits.Value() - before; n != 0 {
+		t.Errorf("checkpoint_hits_total delta = %d over a version-1 store, want 0", n)
+	}
+	if _, err := os.Stat(gobPayload); !os.IsNotExist(err) {
+		t.Errorf("version-1 gob payload survived the upgrade (stat err %v)", err)
+	}
+	var m checkpoint.Manifest
+	if data, err := os.ReadFile(filepath.Join(dir, "manifest.json")); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Version == 1 || len(m.Apps) != 2 {
+		t.Errorf("rewritten manifest: version %d with %d apps, want the current version with 2", m.Version, len(m.Apps))
+	}
+	plain := resumeTestConfig("")
+	want, err := RunStudy(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := FormatAll(want), FormatAll(got); a != b {
+		t.Error("report over an upgraded version-1 store differs from an uncheckpointed run")
 	}
 }
 

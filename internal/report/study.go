@@ -185,6 +185,8 @@ type AppResult struct {
 	// loaded from trace files instead of simulated.
 	Profile *sim.Profile
 	Suite   *trace.Suite
+	// Episodes counts the traced episodes over the suite's sessions.
+	Episodes int
 
 	// Overview is the application's Table III row.
 	Overview analysis.Overview
@@ -245,11 +247,30 @@ func (r *StudyResult) AppByName(name string) (*AppResult, bool) {
 func (r *StudyResult) TotalEpisodes() int {
 	n := 0
 	for _, a := range r.Apps {
-		for _, s := range a.Suite.Sessions {
-			n += len(s.Episodes)
-		}
+		n += a.Episodes
 	}
 	return n
+}
+
+// Compact returns a copy of r that renders exactly as r does — text,
+// HTML, figures, findings, rows and health — without the session trees
+// behind it: the pattern sets are dropped and each suite keeps only the
+// session the Figure 2 sketch is drawn from, if any. A long-lived
+// holder of finished results (lagd) keeps the copy, so its memory does
+// not grow by a suite's trees per job served. r is not modified.
+func (r *StudyResult) Compact() *StudyResult {
+	out := *r
+	out.Apps = nil
+	for _, a := range r.Apps {
+		c := *a
+		c.Pooled = nil
+		c.Suite = &trace.Suite{App: a.Suite.App}
+		if s, _ := figure2Pick(a); s != nil {
+			c.Suite.Sessions = []*trace.Session{s}
+		}
+		out.Apps = append(out.Apps, &c)
+	}
+	return &out
 }
 
 // RunStudy simulates and analyzes the full study. The per-app fan-out
@@ -478,8 +499,13 @@ func analyzeSuite(ctx context.Context, suite *trace.Suite, threshold trace.Dur, 
 	if err != nil {
 		return nil, err
 	}
+	episodes := 0
+	for _, s := range suite.Sessions {
+		episodes += len(s.Episodes)
+	}
 	return &AppResult{
 		Suite:      suite,
+		Episodes:   episodes,
 		Overview:   r.Overview,
 		Pooled:     r.Pooled,
 		Occurrence: r.Pooled.OccurrenceCounts(),

@@ -104,7 +104,7 @@ type Job struct {
 	Attempts int
 	Err      string
 	// Result holds the (possibly partial) study outcome once the job
-	// ran; nil until then.
+	// ran, compacted (report.StudyResult.Compact); nil until then.
 	Result *report.StudyResult
 
 	estimate int64
@@ -664,7 +664,9 @@ func (s *Server) runOnce(job *Job, deadline time.Duration) (err error) {
 	}
 	s.mu.Lock()
 	if res != nil {
-		job.Result = res
+		// Keep only what the result endpoint renders: a finished job
+		// must not pin its session trees for the server's lifetime.
+		job.Result = res.Compact()
 	}
 	if state != nil {
 		job.shardState = state

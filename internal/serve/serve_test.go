@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"lagalyzer/internal/apps"
 	"lagalyzer/internal/report"
+	"lagalyzer/internal/sim"
 )
 
 // waitState polls a job until it reaches want (or the test times out).
@@ -496,6 +498,58 @@ func TestRetryableClassification(t *testing.T) {
 	for _, c := range cases {
 		if got := Retryable(c.err); got != c.want {
 			t.Errorf("Retryable(%v) = %v, want %v", c.err, got, c.want)
+		}
+	}
+}
+
+// TestFinishedJobKeepsCompactResult: a finished job keeps a compacted
+// result, so the server does not pin a suite's session trees per job
+// served, and the result endpoint still renders the full result's
+// bytes.
+func TestFinishedJobKeepsCompactResult(t *testing.T) {
+	var profiles []*sim.Profile
+	for _, name := range []string{"GanttProject", "CrosswordSage"} {
+		p, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	full, err := report.RunStudy(report.StudyConfig{
+		Apps: profiles, SessionsPerApp: 2, Seed: 3, SessionSeconds: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := func(ctx context.Context, spec JobSpec) (*report.StudyResult, error) { return full, nil }
+	s := newTestServer(t, Config{Workers: 1, Runner: runner})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	job, err := s.Submit(JobSpec{Kind: "study"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, job.ID, StateDone)
+
+	res, ok := s.Result(job.ID)
+	if !ok {
+		t.Fatal("done job has no result")
+	}
+	for _, a := range res.Apps {
+		if a.Pooled != nil || len(a.Suite.Sessions) > 1 {
+			t.Errorf("%s: kept Pooled=%v and %d sessions", a.Suite.App, a.Pooled != nil, len(a.Suite.Sessions))
+		}
+	}
+	for format, want := range map[string]string{"text": report.FormatAll(full), "html": report.FormatHTML(full)} {
+		resp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/result?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Errorf("%s result: status %d, %d bytes; want the full result's %d bytes",
+				format, resp.StatusCode, len(body), len(want))
 		}
 	}
 }

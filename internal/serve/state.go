@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 
 	"lagalyzer/internal/report"
 	"lagalyzer/internal/trace"
+	"lagalyzer/internal/treebuild"
 )
 
 // Shard partial state: the wire form a worker lagd returns for a
@@ -23,17 +25,21 @@ import (
 // Framing is paranoid by design, because this payload crosses a
 // network that the fault-injection suite is allowed to damage:
 //
-//	8 bytes  magic "LAGSHRD1"
-//	32 bytes SHA-256 of the gob payload
-//	N bytes  gob(ShardState)
+//	8 bytes  magic "LAGSHRD2"
+//	32 bytes SHA-256 of the payload
+//	payload: uvarint n, n bytes of JSON StudyHealth,
+//	         then each suite in the suite codec (treebuild.EncodeSuite)
 //
-// Any truncation, reset, or bit flip — in the header, checksum, or
-// payload — surfaces as ErrBadShardState, never as a silently wrong
-// merge. The coordinator treats ErrBadShardState as retryable wire
-// damage.
+// The sessions travel as LiLa v2.1, so a peer's bytes are decoded by
+// the same fuzzed, Limits-guarded reader as a trace file. Any
+// truncation, reset, or bit flip — in the header, checksum, or payload
+// — surfaces as ErrBadShardState, never as a silently wrong merge. The
+// coordinator treats ErrBadShardState as retryable wire damage. A
+// payload of another framing version (e.g. the gob-based "LAGSHRD1")
+// fails the magic check the same way.
 
 // shardStateMagic identifies (and versions) the shard-state framing.
-const shardStateMagic = "LAGSHRD1"
+const shardStateMagic = "LAGSHRD2"
 
 // ErrBadShardState marks a shard-state payload that failed its framing
 // or checksum validation: the bytes on the wire are not the bytes the
@@ -56,21 +62,29 @@ type ShardState struct {
 
 // EncodeShardState serializes st with checksum framing.
 func EncodeShardState(st *ShardState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("serve: encoding shard state: %w", err)
+	health, err := json.Marshal(st.Health)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding shard health: %w", err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	out := make([]byte, 0, len(shardStateMagic)+len(sum)+buf.Len())
-	out = append(out, shardStateMagic...)
-	out = append(out, sum[:]...)
-	out = append(out, buf.Bytes()...)
+	header := len(shardStateMagic) + sha256.Size
+	out := make([]byte, header, header+binary.MaxVarintLen64+len(health))
+	copy(out, shardStateMagic)
+	out = binary.AppendUvarint(out, uint64(len(health)))
+	out = append(out, health...)
+	for _, su := range st.Suites {
+		if out, err = treebuild.EncodeSuite(out, su); err != nil {
+			return nil, fmt.Errorf("serve: encoding shard state: %w", err)
+		}
+	}
+	sum := sha256.Sum256(out[header:])
+	copy(out[len(shardStateMagic):], sum[:])
 	return out, nil
 }
 
 // DecodeShardState parses and verifies a shard-state payload. Every
-// failure mode — short header, wrong magic, checksum mismatch, gob
-// damage — returns an error wrapping ErrBadShardState.
+// failure mode — short header, wrong magic, checksum mismatch, an
+// undecodable health or suite section — returns an error wrapping
+// ErrBadShardState.
 func DecodeShardState(data []byte) (*ShardState, error) {
 	header := len(shardStateMagic) + sha256.Size
 	if len(data) < header {
@@ -86,12 +100,24 @@ func DecodeShardState(data []byte) (*ShardState, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch over %d payload bytes",
 			ErrBadShardState, len(payload))
 	}
+	// The checksum passed, so a decode failure below means the worker
+	// encoded something this build cannot read, which is just as
+	// unusable as wire damage.
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, fmt.Errorf("%w: bad health section length", ErrBadShardState)
+	}
 	var st ShardState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		// The checksum passed but gob still failed: the worker encoded
-		// something this build cannot read (version skew), which is just
-		// as unusable as wire damage.
-		return nil, fmt.Errorf("%w: %v", ErrBadShardState, err)
+	if err := json.Unmarshal(payload[k:k+int(n)], &st.Health); err != nil {
+		return nil, fmt.Errorf("%w: health: %v", ErrBadShardState, err)
+	}
+	for rest := payload[k+int(n):]; len(rest) > 0; {
+		var su *trace.Suite
+		var err error
+		if su, rest, err = treebuild.DecodeSuite(rest); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadShardState, err)
+		}
+		st.Suites = append(st.Suites, su)
 	}
 	return &st, nil
 }
